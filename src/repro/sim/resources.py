@@ -27,34 +27,33 @@ class Server:
             server.release()
     """
 
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
+    __slots__ = ("sim", "capacity", "in_use", "waiters")
 
     def __init__(self, sim: Simulator, capacity: int):
         if capacity < 1:
             raise SimulationError(f"server capacity must be >= 1: {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self._in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
+        # Plain attributes, read-only to callers: the number of held
+        # slots and the FIFO of waiting acquisitions. Occupancy gauges
+        # read them every scrape, so they are not hidden behind
+        # properties.
+        self.in_use = 0
+        self.waiters: deque[Event] = deque()
 
     @property
     def queue_len(self) -> int:
         """Number of acquisitions waiting for a free slot."""
-        return len(self._waiters)
+        return len(self.waiters)
 
     def acquire(self) -> Event:
         """Return an event firing once a slot is held by the caller."""
         event = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
+        if self.in_use < self.capacity:
+            self.in_use += 1
             event.succeed()
         else:
-            self._waiters.append(event)
+            self.waiters.append(event)
         return event
 
     def try_acquire(self) -> bool:
@@ -65,8 +64,8 @@ class Server:
         anything — callers that get ``False`` park a waiter via
         :meth:`enqueue_waiter`.
         """
-        if self._in_use < self.capacity:
-            self._in_use += 1
+        if self.in_use < self.capacity:
+            self.in_use += 1
             return True
         return False
 
@@ -77,23 +76,23 @@ class Server:
         including a pooled callback from the fast-path engine; it shares
         one FIFO with generator-based acquirers.
         """
-        self._waiters.append(event)
+        self.waiters.append(event)
 
     def release(self) -> None:
         """Free one slot, handing it to the oldest waiter if any."""
-        if self._in_use <= 0:
+        if self.in_use <= 0:
             raise SimulationError("release() without matching acquire()")
-        if self._waiters:
-            # Hand the slot over directly; _in_use stays constant.
-            waiter = self._waiters.popleft()
+        if self.waiters:
+            # Hand the slot over directly; in_use stays constant.
+            waiter = self.waiters.popleft()
             waiter.succeed()
         else:
-            self._in_use -= 1
+            self.in_use -= 1
 
     def cancel(self, event: Event) -> bool:
         """Remove a queued (not yet granted) acquisition. True if removed."""
         try:
-            self._waiters.remove(event)
+            self.waiters.remove(event)
         except ValueError:
             return False
         return True

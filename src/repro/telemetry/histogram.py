@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from itertools import accumulate, pairwise
 
 from repro.errors import TelemetryError
@@ -140,13 +141,9 @@ def quantile_from_delta(bounds, cumulative_start, cumulative_end,
     """
     if len(cumulative_start) != len(cumulative_end):
         raise TelemetryError("snapshot lengths differ")
-    # Build the per-bucket delta and validate monotonicity in one pass
-    # (this runs once per backend per reconcile interval).
-    delta = []
-    for start, end in zip(cumulative_start, cumulative_end):
-        diff = end - start
-        if diff < 0:
-            raise TelemetryError(
-                "counter reset detected in histogram snapshots")
-        delta.append(diff)
+    # Per-bucket delta built at C level (this runs once per backend per
+    # reconcile interval); a negative bucket means a counter reset.
+    delta = list(map(operator.sub, cumulative_end, cumulative_start))
+    if delta and min(delta) < 0:
+        raise TelemetryError("counter reset detected in histogram snapshots")
     return quantile_from_cumulative(bounds, delta, q)

@@ -38,6 +38,11 @@ class PromMetricsSource:
         # of once per query keeps the scrape pipeline allocation-free.
         self._scoped_names: dict[str, str] = {}
         self._server_names: dict[str, str] = {}
+        # Series handles per backend, keyed by the unscoped name: a
+        # reconcile then reads each backend's series with one dict hit
+        # instead of a scoped-name build plus six store lookups. The store
+        # never replaces a series, so a handle stays valid for good.
+        self._handles: dict[str, tuple] = {}
 
     def _scoped(self, name: str) -> str:
         if not self.scope:
@@ -47,6 +52,27 @@ class PromMetricsSource:
             scoped = self._scoped_names[name] = metric_names.scoped_series_name(
                 self.scope, name)
         return scoped
+
+    def _series(self, name: str) -> tuple:
+        """The backend's series handles, resolved on first use.
+
+        In :meth:`_collect_backend` order, then the failure-latency
+        buckets last.
+        """
+        handles = self._handles.get(name)
+        if handles is None:
+            scoped = self._scoped(name)
+            series = self.store.series
+            handles = self._handles[name] = (
+                series(scoped, metric_names.REQUESTS_TOTAL),
+                series(scoped, metric_names.FAILURES_TOTAL),
+                series(scoped, metric_names.SUCCESS_LATENCY_BUCKETS),
+                series(scoped, metric_names.SUCCESS_LATENCY_SUM),
+                series(scoped, metric_names.SUCCESS_LATENCY_COUNT),
+                series(scoped, metric_names.INFLIGHT),
+                series(scoped, metric_names.FAILURE_LATENCY_BUCKETS),
+            )
+        return handles
 
     def collect(self, backend_names, now: float, window_s: float,
                 percentile: float) -> dict:
@@ -58,9 +84,9 @@ class PromMetricsSource:
 
     def _collect_backend(self, name: str, now: float, window_s: float,
                          percentile: float):
+        (requests, failures, success_buckets, success_sum, success_count,
+         inflight_gauge, _failure_buckets) = self._series(name)
         start = now - window_s
-        name = self._scoped(name)
-        requests = self.store.series(name, metric_names.REQUESTS_TOTAL)
         edges = requests.first_last_in_window(start, now)
         if edges is None:
             return None
@@ -72,7 +98,6 @@ class PromMetricsSource:
 
         rps = delta_requests / elapsed
 
-        failures = self.store.series(name, metric_names.FAILURES_TOTAL)
         failure_edges = failures.first_last_in_window(start, now)
         delta_failures = (
             failure_edges[1][1] - failure_edges[0][1] if failure_edges else 0.0)
@@ -80,36 +105,27 @@ class PromMetricsSource:
         success_rate = min(max(success_rate, 0.0), 1.0)
 
         latency_s = self._latency_quantile(
-            name, metric_names.SUCCESS_LATENCY_BUCKETS, start, now, percentile)
-        mean_latency_s = self._mean_latency(name, start, now)
+            success_buckets, start, now, percentile)
 
-        inflight_sample = self.store.series(
-            name, metric_names.INFLIGHT).latest_in_window(start, now)
+        # Windowed mean of successful latency from sum/count deltas.
+        mean_latency_s = None
+        sums = success_sum.first_last_in_window(start, now)
+        counts = success_count.first_last_in_window(start, now)
+        if sums is not None and counts is not None:
+            delta_count = counts[1][1] - counts[0][1]
+            if delta_count > 0:
+                mean_latency_s = (sums[1][1] - sums[0][1]) / delta_count
+
+        inflight_sample = inflight_gauge.latest_in_window(start, now)
         inflight = max(inflight_sample[1], 0.0) if inflight_sample else 0.0
 
         return MetricSample(
             latency_s=latency_s, success_rate=success_rate,
             rps=rps, inflight=inflight, mean_latency_s=mean_latency_s)
 
-    def _mean_latency(self, name: str, start: float, end: float):
-        """Windowed mean of successful latency from sum/count deltas."""
-        sums = self.store.series(
-            name, metric_names.SUCCESS_LATENCY_SUM
-        ).first_last_in_window(start, end)
-        counts = self.store.series(
-            name, metric_names.SUCCESS_LATENCY_COUNT
-        ).first_last_in_window(start, end)
-        if sums is None or counts is None:
-            return None
-        delta_count = counts[1][1] - counts[0][1]
-        if delta_count <= 0:
-            return None
-        return (sums[1][1] - sums[0][1]) / delta_count
-
-    def _latency_quantile(self, name: str, metric: str, start: float,
-                          end: float, percentile: float):
+    def _latency_quantile(self, series, start: float, end: float,
+                          percentile: float):
         """Windowed percentile from histogram deltas; None without data."""
-        series = self.store.series(name, metric)
         edges = series.first_last_in_window(start, end)
         if edges is None:
             return None
@@ -157,5 +173,4 @@ class PromMetricsSource:
         requests. Returns None without failure data in the window.
         """
         return self._latency_quantile(
-            self._scoped(name), metric_names.FAILURE_LATENCY_BUCKETS,
-            now - window_s, now, percentile)
+            self._series(name)[-1], now - window_s, now, percentile)

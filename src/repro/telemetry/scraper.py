@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.errors import Interrupted, TelemetryError
 from repro.telemetry.metrics import BackendTelemetry
-from repro.telemetry.timeseries import TimeSeriesStore
+from repro.telemetry.timeseries import SampleSeries, TimeSeriesStore
 
 # Metric names under which a backend's telemetry is scraped. The
 # canonical definitions live in repro.telemetry.names (shared with the
@@ -35,8 +35,13 @@ class Scraper:
             raise TelemetryError(f"scrape interval must be positive: {interval_s}")
         self.store = store
         self.interval_s = interval_s
-        self._targets: dict[str, BackendTelemetry] = {}
-        self._gauges: list[tuple[str, str, object]] = []
+        self._target_names: set[str] = set()
+        # Each target with its series handles, resolved once at
+        # registration: targets are never removed and the store never
+        # replaces a series, so a scrape round appends straight to the
+        # handles with no key lookups.
+        self._targets: list[tuple] = []
+        self._gauges: list[tuple[SampleSeries, object]] = []
         # Fault injection: a paused scraper skips its ticks entirely, so
         # the store receives no new samples and windowed queries go empty —
         # the controller's decay-toward-default path.
@@ -51,9 +56,20 @@ class Scraper:
     def register(self, telemetry: BackendTelemetry) -> None:
         """Add a proxy's per-backend telemetry bundle as a scrape target."""
         name = getattr(telemetry, "scrape_name", telemetry.backend_name)
-        if name in self._targets:
+        if name in self._target_names:
             raise TelemetryError(f"duplicate scrape target: {name}")
-        self._targets[name] = telemetry
+        self._target_names.add(name)
+        series = self.store.series
+        self._targets.append((
+            telemetry,
+            series(name, REQUESTS_TOTAL),
+            series(name, FAILURES_TOTAL),
+            series(name, SUCCESS_LATENCY_BUCKETS),
+            series(name, SUCCESS_LATENCY_SUM),
+            series(name, SUCCESS_LATENCY_COUNT),
+            series(name, FAILURE_LATENCY_BUCKETS),
+            series(name, INFLIGHT),
+        ))
 
     def register_gauge(self, series_name: str, metric: str, read) -> None:
         """Add a custom gauge scrape target.
@@ -67,30 +83,26 @@ class Scraper:
             metric: metric name within the series.
             read: zero-argument callable returning the current value.
         """
-        self._gauges.append((series_name, metric, read))
+        self._gauges.append((self.store.series(series_name, metric), read))
 
     def scrape_once(self, now: float) -> None:
         """Snapshot every registered target at time ``now``."""
         hook = self.pre_scrape
         if hook is not None:
             hook()
-        for name, telemetry in self._targets.items():
-            self.store.series(name, REQUESTS_TOTAL).append(
-                now, telemetry.requests_total.value)
-            self.store.series(name, FAILURES_TOTAL).append(
-                now, telemetry.failures_total.value)
-            self.store.series(name, SUCCESS_LATENCY_BUCKETS).append(
-                now, telemetry.success_latency.cumulative_counts())
-            self.store.series(name, SUCCESS_LATENCY_SUM).append(
-                now, telemetry.success_latency.sum)
-            self.store.series(name, SUCCESS_LATENCY_COUNT).append(
-                now, telemetry.success_latency.count)
-            self.store.series(name, FAILURE_LATENCY_BUCKETS).append(
+        for (telemetry, requests, failures, success_buckets, success_sum,
+             success_count, failure_buckets, inflight) in self._targets:
+            requests.append(now, telemetry.requests_total.value)
+            failures.append(now, telemetry.failures_total.value)
+            success_latency = telemetry.success_latency
+            success_buckets.append(now, success_latency.cumulative_counts())
+            success_sum.append(now, success_latency.sum)
+            success_count.append(now, success_latency.count)
+            failure_buckets.append(
                 now, telemetry.failure_latency.cumulative_counts())
-            self.store.series(name, INFLIGHT).append(
-                now, telemetry.inflight.value)
-        for series_name, metric, read in self._gauges:
-            self.store.series(series_name, metric).append(now, float(read()))
+            inflight.append(now, telemetry.inflight.value)
+        for series, read in self._gauges:
+            series.append(now, float(read()))
 
     def pause(self, mode: str = "error") -> None:
         """Suspend scraping (fault injection: Prometheus outage).

@@ -7,9 +7,12 @@ for histograms — the store is agnostic.
 Storage is a pair of parallel lists rather than deques: ``bisect`` then
 runs directly on the time list, and the window queries the controller
 issues every reconcile interval touch only the two edge samples — no
-whole-series copy per query. Retention trimming is amortized (the expired
-prefix is sliced off only once it grows past a threshold), so appends stay
-O(1) amortized just like the deque version.
+whole-series copy per query. Retention trimming is amortized: the expired
+prefix is sliced off only once it holds ``_TRIM_THRESHOLD`` samples, which
+(times being sorted) is exactly when the sample at index
+``_TRIM_THRESHOLD - 1`` lies before ``when - max_age_s``. An append that
+does not trim is therefore one index and one compare, with no bisect, and
+fewer than ``_TRIM_THRESHOLD`` expired samples are ever held.
 """
 
 from __future__ import annotations
@@ -51,12 +54,15 @@ class SampleSeries:
                 f"out-of-order sample: {when} < {times[-1]}")
         times.append(when)
         self._values.append(value)
-        cutoff = when - self.max_age_s
-        if times[0] < cutoff:
-            expired = bisect_left(times, cutoff)
-            if expired >= _TRIM_THRESHOLD:
-                del times[:expired]
-                del self._values[:expired]
+        # At least _TRIM_THRESHOLD samples have expired exactly when the
+        # one at index _TRIM_THRESHOLD - 1 has (times are sorted), so the
+        # common no-trim append is one index and one compare. The new
+        # sample itself is never expired, hence the strict length test.
+        if (len(times) > _TRIM_THRESHOLD
+                and times[_TRIM_THRESHOLD - 1] < when - self.max_age_s):
+            expired = bisect_left(times, when - self.max_age_s)
+            del times[:expired]
+            del self._values[:expired]
 
     def _window_bounds(self, start: float, end: float) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of samples with start <= time <= end."""

@@ -1,8 +1,11 @@
 """Tests for the bucketed latency histogram and quantile estimation."""
 
 import math
+from itertools import accumulate
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
 from repro.telemetry.histogram import (
@@ -128,6 +131,26 @@ class TestDeltaQuantile:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(TelemetryError):
             quantile_from_delta((0.1,), (0, 0), (0, 0, 0), 0.5)
+
+    def test_empty_snapshots_raise_telemetry_error(self):
+        # Equal (empty) lengths reach the ladder check, never min([]).
+        with pytest.raises(TelemetryError):
+            quantile_from_delta((0.1,), (), (), 0.5)
+        with pytest.raises(TelemetryError):
+            quantile_from_delta((0.1,), (), (0, 0), 0.5)
+
+    @given(start_counts=st.lists(st.integers(0, 50), min_size=27,
+                                 max_size=27),
+           window_counts=st.lists(st.integers(0, 50), min_size=27,
+                                  max_size=27),
+           q=st.floats(min_value=0.0, max_value=1.0))
+    def test_matches_quantile_over_explicit_delta(self, start_counts,
+                                                  window_counts, q):
+        start = tuple(accumulate(start_counts))
+        end = tuple(a + b for a, b in zip(start, accumulate(window_counts)))
+        delta = [b - a for a, b in zip(start, end)]
+        assert quantile_from_delta(DEFAULT_BUCKET_BOUNDS_S, start, end, q) == (
+            quantile_from_cumulative(DEFAULT_BUCKET_BOUNDS_S, delta, q))
 
     def test_cumulative_length_validation(self):
         with pytest.raises(TelemetryError):

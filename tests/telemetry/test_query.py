@@ -209,3 +209,52 @@ class TestNoTrafficDecayPath:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] > observed
         assert values[-1] <= config.default_latency_s
+
+
+class TestLookupCost:
+    """A backend's series are looked up once, on its first query."""
+
+    def _counting(self, monkeypatch, store):
+        counts = {"series": 0}
+        lookup = store.series
+
+        def counting_series(*args):
+            counts["series"] += 1
+            return lookup(*args)
+
+        monkeypatch.setattr(store, "series", counting_series)
+        return counts
+
+    def test_collect_makes_no_lookups_for_a_seen_backend(self, monkeypatch):
+        store = scraped_traffic(
+            [(0.01, True)] * 10, scrape_times=(0.0, 10.0),
+            scrape_name="cluster-1|b")
+        source = PromMetricsSource(store, scope="cluster-1")
+        counts = self._counting(monkeypatch, store)
+        first = source.collect(["b", "ghost"], 10.0, 10.0, 0.99)
+        assert counts["series"] > 0
+        counts["series"] = 0
+        second = source.collect(["b", "ghost"], 10.0, 10.0, 0.99)
+        source.failure_latency_quantile("b", 10.0, 10.0, 0.5)
+        assert counts["series"] == 0
+        assert first == second
+        assert second["b"] is not None and second["ghost"] is None
+
+    def test_cached_handles_see_later_scrapes(self):
+        store = TimeSeriesStore()
+        scraper = Scraper(store)
+        telemetry = BackendTelemetry("b")
+        source = PromMetricsSource(store)
+        # Queried before it is ever scraped: the handles bind to the same
+        # series the scraper then fills.
+        assert source.collect(["b"], 0.0, 10.0, 0.99)["b"] is None
+        scraper.register(telemetry)
+        scraper.scrape_once(5.0)
+        for _ in range(10):
+            telemetry.on_request_sent()
+            telemetry.on_response(0.5, success=False)
+        scraper.scrape_once(10.0)
+        sample = source.collect(["b"], 10.0, 10.0, 0.99)["b"]
+        assert math.isclose(sample.rps, 2.0)
+        assert sample.success_rate == 0.0
+        assert source.failure_latency_quantile("b", 10.0, 10.0, 0.5) > 0.3
