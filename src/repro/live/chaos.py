@@ -12,7 +12,7 @@ drive real asyncio servers:
   :class:`~repro.live.server.ReplicaServer` listeners and re-bind them
   on recovery;
 - link faults shape the client-side path through a
-  :class:`LiveLinkShaper` the proxy traverses before opening a socket;
+  :class:`LiveLinkShaper` the proxy traverses before each attempt;
 - scrape faults break the ``/metrics`` pages themselves (500s or
   accept-then-stall), so the outage happens on the wire where the
   :class:`~repro.live.scrape.HttpScraper` actually feels it;
@@ -48,7 +48,7 @@ class LiveLinkShaper:
 
     The simulator shapes delay inside its network model; on localhost
     there is no network to shape, so the proxy calls
-    :meth:`traverse` before opening each connection and the shaper
+    :meth:`traverse` before each attempt's request and the shaper
     inserts the fault there. Directed pairs, symmetric by default —
     the same semantics as ``mesh.network``:
 

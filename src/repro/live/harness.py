@@ -395,7 +395,7 @@ class LiveHarness:
 
     async def _shutdown(self, scrape_task, control_task,
                         chaos_task=None) -> None:
-        """Drain in-flight requests, stop loops, release ports.
+        """Drain requests, close pooled connections, stop loops, free ports.
 
         The chaos injector dies first — no new faults land mid-teardown
         — and everything it stalled (blackholed handlers, broken
@@ -424,6 +424,8 @@ class LiveHarness:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+        if self.parts.proxy is not None:
+            await self.parts.proxy.aclose()
 
         background = [t for t in (scrape_task, control_task)
                       if t is not None]

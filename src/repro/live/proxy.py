@@ -11,9 +11,13 @@ bundles — scoped by source cluster — that the ``/metrics`` endpoint
 exposes, so L3's success-rate and latency signals see exactly what a
 sidecar would report.
 
-The transport is injectable: the default :class:`HttpTransport` opens a
-TCP connection per attempt; tests substitute an async callable to cover
-routing, retry, timeout and telemetry paths without sockets or sleeps.
+The transport is injectable: the default :class:`HttpTransport` keeps a
+pool of persistent HTTP/1.1 connections per backend address, as a
+sidecar does towards its upstreams, so an attempt costs a request and a
+response rather than a TCP set-up and tear-down; an attempt its
+deadline abandons closes its connection instead of returning it to the
+pool. Tests substitute an async callable to cover routing, retry,
+timeout and telemetry paths without sockets or sleeps.
 """
 
 from __future__ import annotations
@@ -30,26 +34,84 @@ from repro.telemetry.metrics import BackendTelemetry
 from repro.telemetry.names import scoped_series_name
 
 
+class _StaleConnection(Exception):
+    """A reused connection failed before any response byte arrived."""
+
+
 class HttpTransport:
-    """One HTTP request per call; success is a 2xx response."""
+    """One HTTP request per call over pooled keep-alive connections.
+
+    Success is a 2xx response. Idle connections are kept per
+    ``(host, port)`` and reused last-in first-out; a connection goes
+    back to the pool only after a complete response that allows
+    keep-alive, and is closed on any exception — including the
+    cancellation a caller's deadline delivers. A reused connection that
+    fails before any response byte (the server closed it while idle:
+    EOF, reset, broken pipe) is retried once on a fresh connection
+    within the same call, as HTTP clients do for idempotent requests.
+    """
 
     def __init__(self, path: str = "/work"):
         self.path = path
+        self._idle: dict[tuple[str, int],
+                         list[tuple[asyncio.StreamReader,
+                                    asyncio.StreamWriter]]] = {}
 
     async def __call__(self, host: str, port: int) -> bool:
+        key = (host, port)
+        idle = self._checkout(key)
+        if idle is not None:
+            try:
+                return await self._exchange(key, *idle, reused=True)
+            except _StaleConnection:
+                pass
         reader, writer = await asyncio.open_connection(host, port)
+        return await self._exchange(key, reader, writer, reused=False)
+
+    def _checkout(self, key: tuple[str, int]):
+        """A live idle connection to ``key``, or None."""
+        idle = self._idle.get(key)
+        while idle:
+            reader, writer = idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            writer.close()
+        return None
+
+    async def _exchange(self, key: tuple[str, int],
+                        reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter, reused: bool) -> bool:
+        """One request/response on an open connection."""
+        host, port = key
+        pooled = False
         try:
-            writer.write(httpwire.request_bytes("GET", self.path,
-                                                f"{host}:{port}"))
-            await writer.drain()
-            first, headers = await httpwire.read_head(reader)
+            try:
+                writer.write(httpwire.request_bytes("GET", self.path,
+                                                    f"{host}:{port}"))
+                await writer.drain()
+                first, headers = await httpwire.read_head(reader)
+            except (ConnectionError, asyncio.IncompleteReadError) as exc:
+                if reused and not getattr(exc, "partial", b""):
+                    raise _StaleConnection from exc
+                raise
             status = httpwire.parse_status_line(first)
             length = httpwire.content_length(headers)
             if length > 0:
                 await reader.readexactly(length)
+            if httpwire.keep_alive(headers):
+                self._idle.setdefault(key, []).append((reader, writer))
+                pooled = True
             return 200 <= status < 300
         finally:
-            await httpwire.close_writer(writer)
+            if not pooled:
+                await httpwire.close_writer(writer)
+
+    async def aclose(self) -> None:
+        """Close every idle pooled connection."""
+        idle, self._idle = self._idle, {}
+        for connections in idle.values():
+            for _reader, writer in connections:
+                await httpwire.close_writer(writer)
 
 
 class LiveProxy:
@@ -138,6 +200,12 @@ class LiveProxy:
         if outlier_ejection is not None:
             self.ejector = OutlierEjector(list(self.backends),
                                           outlier_ejection)
+
+    async def aclose(self) -> None:
+        """Release the transport's pooled connections, if it keeps any."""
+        aclose = getattr(self.transport, "aclose", None)
+        if aclose is not None:
+            await aclose()
 
     def telemetry_bundles(self) -> list[BackendTelemetry]:
         """The per-backend bundles, for the /metrics exposition page."""

@@ -22,17 +22,21 @@ import asyncio
 from repro.errors import TelemetryError
 from repro.live import httpwire
 from repro.live.exposition import parse_exposition
-from repro.telemetry.timeseries import TimeSeriesStore
+from repro.telemetry.timeseries import SampleSeries, TimeSeriesStore
 
 
 async def fetch_metrics(host: str, port: int, timeout_s: float = 2.0) -> str:
-    """GET /metrics from one target; returns the page text."""
+    """GET /metrics from one target; returns the page text.
+
+    Each scrape asks for ``Connection: close``: a few fetches a second
+    do not pay for pooling, and a page without a length is read to EOF.
+    """
 
     async def _get() -> str:
         reader, writer = await asyncio.open_connection(host, port)
         try:
             writer.write(httpwire.request_bytes("GET", "/metrics",
-                                                f"{host}:{port}"))
+                                                f"{host}:{port}", keep=False))
             await writer.drain()
             first, headers = await httpwire.read_head(reader)
             status = httpwire.parse_status_line(first)
@@ -75,6 +79,8 @@ class HttpScraper:
         self.failed_scrapes = 0
         self.stale_drops = 0
         self._last_stamp: dict[tuple[str, int], float] = {}
+        # Bound on first sight; the store never drops a series.
+        self._handles: dict[tuple[str, str], SampleSeries] = {}
 
     async def _scrape_target(self, host: str, port: int,
                              now: float) -> bool:
@@ -95,9 +101,14 @@ class HttpScraper:
             self.stale_drops += 1
             return False
         self._last_stamp[key] = now
+        handles = self._handles
         for series, metrics in samples.items():
             for metric, value in metrics.items():
-                self.store.series(series, metric).append(now, value)
+                handle = handles.get((series, metric))
+                if handle is None:
+                    handle = self.store.series(series, metric)
+                    handles[series, metric] = handle
+                handle.append(now, value)
         return True
 
     async def scrape_once(self, now: float | None = None) -> int:

@@ -15,18 +15,23 @@ feedback channel the C3 adaptation reads.
 endpoint over a render callable.
 
 Both servers bind with port-collision retry (:func:`start_http_server`)
-and shut down gracefully: the listener closes first, in-flight handlers
-get a bounded drain, stragglers are cancelled.
+and serve persistent HTTP/1.1 connections: one handler task serves a
+connection's requests in turn until the client closes it or asks for
+``Connection: close``. They shut down gracefully: idle keep-alive
+connections and the listener close first, in-flight handlers get a
+bounded drain (their responses say ``close``), stragglers are cancelled.
 
 Both are also chaos targets (:mod:`repro.live.chaos`): a
 :class:`ReplicaServer` can :meth:`~ReplicaServer.crash` in the
 simulator's two down modes — ``fail_fast`` closes the listener so new
-connections are refused at the OS level, ``blackhole`` keeps accepting
-but never answers — and :meth:`~ReplicaServer.restart` re-binds the
-same port. Any server's ``/metrics`` page can be failed independently
-(:meth:`~_HttpServerBase.fail_metrics`: 500s or accept-then-stall), the
-live face of a scrape outage. Stalled handlers park on an internal gate
-that teardown and restarts release, so a chaos run never strands tasks.
+connections are refused at the OS level and severs idle keep-alive
+connections, ``blackhole`` keeps accepting (and keeps every open
+connection) but never answers — and :meth:`~ReplicaServer.restart`
+re-binds the same port. Any server's ``/metrics`` page can be failed
+independently (:meth:`~_HttpServerBase.fail_metrics`: 500s or
+accept-then-stall), the live face of a scrape outage. Stalled handlers
+park on an internal gate that teardown and restarts release, so a chaos
+run never strands tasks.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ class _HttpServerBase:
         self.port: int | None = None
         self._server: asyncio.Server | None = None
         self._handlers: set[asyncio.Task] = set()
+        # Keep-alive connections waiting for their next request head.
+        self._idle: set[asyncio.StreamWriter] = set()
         # Injected /metrics failure (scrape outage): None, "error", "stall".
         self.metrics_fail_mode: str | None = None
         # Handlers told to stall (blackhole / stalled scrapes) park here;
@@ -90,9 +97,15 @@ class _HttpServerBase:
         return self.port
 
     async def stop(self, drain_s: float = 2.0) -> None:
-        """Stop listening, drain in-flight handlers, cancel stragglers."""
+        """Stop listening, drain in-flight handlers, cancel stragglers.
+
+        Idle keep-alive connections close first, so their handlers end
+        at once instead of waiting out ``drain_s``; in-flight ones
+        answer with ``Connection: close`` and end after the response.
+        """
         self._stopped = True
         self.release_stalls()
+        self._close_idle()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -144,25 +157,52 @@ class _HttpServerBase:
             return 500, b"scrape outage injected\n"
         return 200, render().encode("utf-8")
 
+    def _keeps_alive(self) -> bool:
+        """Whether a response may leave its connection open for more."""
+        return not self._stopped
+
+    def _close_idle(self) -> None:
+        """Close every connection waiting for its next request head.
+
+        Their handlers see EOF and return on their own — nothing is
+        cancelled, and no client is mid-request on these sockets.
+        """
+        for writer in self._idle:
+            writer.close()
+        self._idle.clear()
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        """Serve requests until the client closes or asks to, or we stop."""
         task = asyncio.current_task()
         if task is not None:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
         try:
-            try:
-                first, _headers = await httpwire.read_head(reader)
-                _method, path = httpwire.parse_request_line(first)
-            except (MeshError, asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError, ConnectionError):
-                return
-            status, body = await self._respond(path)
-            writer.write(httpwire.response_bytes(status, body))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+            while True:
+                self._idle.add(writer)
+                try:
+                    first, headers = await httpwire.read_head(reader)
+                    _method, path = httpwire.parse_request_line(first)
+                    # The body of a request is never read, so one that
+                    # announces a body ends its connection: those bytes
+                    # must not be parsed as the next request head.
+                    keep = (httpwire.keep_alive(headers)
+                            and not httpwire.carries_body(headers))
+                except (MeshError, asyncio.IncompleteReadError,
+                        asyncio.LimitOverrunError, ConnectionError):
+                    return
+                finally:
+                    self._idle.discard(writer)
+                status, body = await self._respond(path)
+                keep = keep and self._keeps_alive()
+                writer.write(httpwire.response_bytes(status, body, keep=keep))
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    return
+                if not (keep and self._keeps_alive()):
+                    return
         finally:
             await httpwire.close_writer(writer)
 
@@ -219,10 +259,13 @@ class ReplicaServer(_HttpServerBase):
 
         ``fail_fast`` closes the listener: new connections are refused
         at the OS level (ECONNREFUSED — the platform's "pod is gone"),
-        while already-accepted requests finish. ``blackhole`` keeps the
-        listener: connections are accepted, bytes are read, and nothing
-        ever answers — only a client-side deadline turns the silence
-        into a signal.
+        idle keep-alive connections are closed (a dead pod's sockets
+        die with it), and already-accepted requests finish, answering with
+        ``Connection: close``. ``blackhole`` keeps the listener and
+        every open connection: connections are accepted, bytes are
+        read, and nothing ever answers — on a pooled connection exactly
+        as on a fresh one, so only a client-side deadline turns the
+        silence into a signal.
         """
         if mode not in DOWN_MODES:
             raise MeshError(
@@ -230,6 +273,7 @@ class ReplicaServer(_HttpServerBase):
         self.down_mode = mode
         self.crash_count += 1
         if mode == "fail_fast" and self._server is not None:
+            self._close_idle()
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -249,6 +293,9 @@ class ReplicaServer(_HttpServerBase):
                 and self.port is not None:
             self._server, self.port = await start_http_server(
                 self._handle_connection, self.host, self.port)
+
+    def _keeps_alive(self) -> bool:
+        return super()._keeps_alive() and self.down_mode is None
 
     async def _respond(self, path: str) -> tuple[int, bytes]:
         if self.down_mode == "blackhole":

@@ -11,7 +11,7 @@ from repro.live.scrape import HttpScraper
 from repro.telemetry import names
 from repro.telemetry.metrics import BackendTelemetry
 from repro.telemetry.query import PromMetricsSource
-from repro.telemetry.timeseries import TimeSeriesStore
+from repro.telemetry.timeseries import SampleSeries, TimeSeriesStore
 
 SERIES = "cluster-1|api/cluster-2"
 
@@ -150,6 +150,36 @@ class TestScrapeOnce:
     def test_interval_validation(self):
         with pytest.raises(TelemetryError):
             HttpScraper(TimeSeriesStore(), [], FakeClock(), interval_s=0.0)
+
+    def test_unchanged_page_rescrape_makes_no_store_lookups(
+            self, monkeypatch):
+        telemetry = BackendTelemetry("api/cluster-2", scrape_name=SERIES)
+        telemetry.on_request_sent()
+        telemetry.on_response(0.02, True)
+        store = TimeSeriesStore()
+        scraper = HttpScraper(store, [("h", 1)], FakeClock(),
+                              fetch=FakePage([telemetry]))
+        counts = {"series": 0, "append": 0}
+        lookup, append = store.series, SampleSeries.append
+
+        def counting_series(*args):
+            counts["series"] += 1
+            return lookup(*args)
+
+        def counting_append(self, *args):
+            counts["append"] += 1
+            return append(self, *args)
+
+        monkeypatch.setattr(store, "series", counting_series)
+        monkeypatch.setattr(SampleSeries, "append", counting_append)
+        scrape(scraper, now=1.0)
+        first = dict(counts)
+        assert first["series"] == first["append"] > 0
+        scrape(scraper, now=2.0)
+        assert counts == {"series": first["series"],
+                          "append": 2 * first["append"]}
+        assert [t for t, _v in lookup(SERIES, names.REQUESTS_TOTAL)
+                .window(0.0, 10.0)] == [1.0, 2.0]
 
 
 class TestConcurrentRounds:
